@@ -17,6 +17,12 @@ The containment test then becomes::
 :class:`AbstractLsn` implements that algebra, including the low-water
 advancement driven by the TC's ``low_water_mark`` calls and the merge used
 when two pages are consolidated (Section 5.2.2).
+
+A low-water mark applies to every cached page of the DC that receives it.
+Rather than walking the cache, the buffer pool stores each TC's mark in an
+:class:`LwmHorizon`; a cached abLSN follows that horizon and catches up on
+its next access, so a broadcast costs O(1) and the pruning cost lands on
+the pages actually touched.
 """
 
 from __future__ import annotations
@@ -61,6 +67,15 @@ class LsnGenerator:
                 self._last = lsn
 
 
+class LwmHorizon:
+    """One TC's low-water mark as last broadcast to one buffer pool."""
+
+    __slots__ = ("lwm",)
+
+    def __init__(self, lwm: Lsn = NULL_LSN) -> None:
+        self.lwm = lwm
+
+
 class AbstractLsn:
     """The paper's ``abLSN = <LSNlw, {LSNin}>`` with its generalized ``<=``.
 
@@ -68,24 +83,55 @@ class AbstractLsn:
     every applied operation) but expose :meth:`snapshot` for an immutable
     copy, used when an abLSN must be captured in a log record or written to
     a stable page image.
+
+    An abLSN of a cached page follows its TC's :class:`LwmHorizon`
+    (:meth:`attach`): every read or write first applies the marks broadcast
+    since it last looked.  Marks broadcast before :meth:`attach` are not
+    applied, exactly as a walk over the cache at broadcast time would have
+    missed a page that was not cached yet.
     """
 
-    __slots__ = ("_low_water", "_included")
+    __slots__ = ("_low_water", "_included", "_horizon", "_seen")
 
     def __init__(self, low_water: Lsn = NULL_LSN, included: Iterable[Lsn] = ()) -> None:
         self._low_water = low_water
         self._included = {lsn for lsn in included if lsn > low_water}
+        self._horizon: LwmHorizon | None = None
+        #: The horizon's mark this abLSN last caught up to.
+        self._seen = NULL_LSN
+
+    # -- the lazy low-water horizon --------------------------------------
+
+    def _catch_up(self) -> None:
+        horizon = self._horizon
+        if horizon is not None and horizon.lwm != self._seen:
+            lwm = horizon.lwm
+            self.advance_low_water(lwm)
+            self._seen = lwm
+
+    def attach(self, horizon: LwmHorizon) -> None:
+        """Follow ``horizon``: marks broadcast from now on raise this abLSN."""
+        self._catch_up()
+        self._horizon = horizon
+        self._seen = horizon.lwm
+
+    def detach(self) -> None:
+        """Apply the marks broadcast so far, then stop following them."""
+        self._catch_up()
+        self._horizon = None
 
     # -- the generalized idempotence test -------------------------------
 
     def contains(self, lsn: Lsn) -> bool:
         """``lsn <= abLSN``: is the operation's effect already in the page?"""
+        self._catch_up()
         return lsn <= self._low_water or lsn in self._included
 
     # -- mutation during normal execution --------------------------------
 
     def include(self, lsn: Lsn) -> None:
         """Record that the operation with ``lsn`` has been applied."""
+        self._catch_up()
         if lsn > self._low_water:
             self._included.add(lsn)
 
@@ -118,7 +164,12 @@ class AbstractLsn:
         falsely claim the other range's still-unreplayed operations.  The
         B-tree therefore refuses such merges
         (:meth:`repro.storage.btree.BTree._horizons_compatible`).
+
+        The result follows no horizon; the page it is installed on
+        attaches it.
         """
+        self._catch_up()
+        other._catch_up()
         low = max(self._low_water, other._low_water)
         merged = AbstractLsn(low)
         merged._included = {
@@ -132,10 +183,12 @@ class AbstractLsn:
 
     @property
     def low_water(self) -> Lsn:
+        self._catch_up()
         return self._low_water
 
     @property
     def included(self) -> frozenset[Lsn]:
+        self._catch_up()
         return frozenset(self._included)
 
     def max_lsn(self) -> Lsn:
@@ -144,6 +197,7 @@ class AbstractLsn:
         Governs causality: a page may be flushed only when its abLSN's
         ``max_lsn`` is at or below the TC's end of stable log.
         """
+        self._catch_up()
         return max(self._included, default=self._low_water)
 
     def lsns_above(self, bound: Lsn) -> frozenset[Lsn]:
@@ -153,6 +207,7 @@ class AbstractLsn:
         (Section 5.3.2): if the low water itself exceeds ``bound`` the page
         is unconditionally affected and this returns the low water too.
         """
+        self._catch_up()
         above = {lsn for lsn in self._included if lsn > bound}
         if self._low_water > bound:
             above.add(self._low_water)
@@ -160,17 +215,23 @@ class AbstractLsn:
 
     def pending_count(self) -> int:
         """Size of {LSNin}; the page-sync experiments track this."""
+        self._catch_up()
         return len(self._included)
 
     def encoded_size(self) -> int:
         """Bytes to store this abLSN on a page (space-model, Section 5.1.2)."""
+        self._catch_up()
         return LSN_ENCODED_BYTES * (1 + len(self._included))
 
     def snapshot(self) -> "AbstractLsn":
-        """Immutable-by-convention copy for log records and page images."""
+        """Immutable-by-convention copy for log records and page images.
+
+        The copy is caught up and follows no horizon."""
+        self._catch_up()
         return AbstractLsn(self._low_water, self._included)
 
     def is_null(self) -> bool:
+        self._catch_up()
         return self._low_water == NULL_LSN and not self._included
 
     # -- value semantics ---------------------------------------------------
@@ -178,17 +239,22 @@ class AbstractLsn:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, AbstractLsn):
             return NotImplemented
+        self._catch_up()
+        other._catch_up()
         return (
             self._low_water == other._low_water and self._included == other._included
         )
 
     def __hash__(self) -> int:
+        self._catch_up()
         return hash((self._low_water, frozenset(self._included)))
 
     def __iter__(self) -> Iterator[Lsn]:
         """Iterate the explicitly tracked LSNs (not the implied prefix)."""
+        self._catch_up()
         return iter(sorted(self._included))
 
     def __repr__(self) -> str:
+        self._catch_up()
         inc = ",".join(map(str, sorted(self._included)))
         return f"abLSN<lw={self._low_water},{{{inc}}}>"

@@ -924,7 +924,7 @@ class DataComponent:
                 # Same refusal as the checkpoint gate: nothing is "known
                 # applied" for a TC whose redo stream is still open.
                 continue
-            lwm = self.buffer._lwm.get(tc_id, NULL_LSN)
+            lwm = self.buffer.lwm_for(tc_id)
             if lwm > NULL_LSN:
                 self.metrics.incr("dc.rssp_hints")
                 hint(self.name, lwm + 1)

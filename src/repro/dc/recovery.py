@@ -43,22 +43,22 @@ def stable_page_state(storage: StableStorage, page_id: int) -> Optional[PageImag
     Starts from the disk image (if any) and applies every stable DC-log
     record for this page with a higher dLSN, in log order.  Returns ``None``
     when the page does not exist in stable state (never created, or freed).
+    The storage's per-page log index keeps this proportional to the page's
+    own records, not to the whole log.
     """
     disk = storage.read_page(page_id)
     live = disk.materialize() if disk is not None else None
-    for record in storage.dc_log_entries():
-        if not isinstance(record, DcLogRecord):
-            continue
-        if isinstance(record, PageImageRecord) and record.page_id == page_id:
+    for record in storage.dc_log_entries_for(page_id):
+        if isinstance(record, PageImageRecord):
             if live is None or live.dlsn < record.dlsn:
                 assert record.image is not None
                 live = record.image.materialize()
-        elif isinstance(record, KeysRemovedRecord) and record.page_id == page_id:
+        elif isinstance(record, KeysRemovedRecord):
             if live is not None and live.dlsn < record.dlsn:
                 assert isinstance(live, LeafPage)
                 live.extract_from(record.split_key)
                 live.dlsn = record.dlsn
-        elif isinstance(record, PageFreeRecord) and record.page_id == page_id:
+        elif isinstance(record, PageFreeRecord):
             live = None
     return live.snapshot() if live is not None else None
 

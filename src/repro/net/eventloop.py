@@ -209,10 +209,13 @@ class EventLoop:
     def call_soon(self, fn: Callable[[], None]) -> None:
         """Schedule ``fn`` on the loop (thread-safe; wakes a blocked select)."""
         self._callbacks.append(fn)
+        self._wake()
+
+    def _wake(self) -> None:
         try:
             os.write(self._wake_w, b"\0")
         except (BlockingIOError, OSError):
-            pass  # pipe full = a wakeup is already pending
+            pass  # pipe full = a wakeup is already pending; -1 = closed
 
     # -- teardown ------------------------------------------------------------
 
@@ -240,7 +243,9 @@ class EventLoop:
             peer.on_close(peer)
 
     def stop(self) -> None:
+        """End :meth:`run` (thread-safe; wakes a blocked select)."""
         self._stopped = True
+        self._wake()
 
     def close(self) -> None:
         """Final teardown: best-effort drain of pending replies (a
@@ -271,6 +276,8 @@ class EventLoop:
             pass
         os.close(self._wake_r)
         os.close(self._wake_w)
+        # A late stop()/call_soon() must not write into a reused fd number.
+        self._wake_w = -1
         self._sel.close()
 
     # -- running -------------------------------------------------------------

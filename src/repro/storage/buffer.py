@@ -21,12 +21,12 @@ from __future__ import annotations
 import contextlib
 import enum
 import threading
-from collections import OrderedDict
+from collections import OrderedDict, defaultdict
 from typing import Callable, Iterator, Optional
 
 from repro.common.config import DcConfig, PageSyncStrategy
 from repro.common.errors import WriteAheadViolation
-from repro.common.lsn import Lsn, NULL_LSN
+from repro.common.lsn import Lsn, LwmHorizon, NULL_LSN
 from repro.obs.tracing import NULL_TRACER
 from repro.sim import schedule as _sched
 from repro.sim.metrics import Metrics
@@ -84,8 +84,9 @@ class BufferPool:
         self._evicting = False
         #: End of stable TC log, per TC (causality bound for flushes).
         self._eosl: dict[int, Lsn] = {}
-        #: Last gap-free LSN, per TC (prunes {LSNin} sets).
-        self._lwm: dict[int, Lsn] = {}
+        #: Last gap-free LSN, per TC (prunes {LSNin} sets).  Cached pages
+        #: follow these horizons and apply a new mark on their next access.
+        self._horizons: defaultdict[int, LwmHorizon] = defaultdict(LwmHorizon)
 
     # -- contract state from the TC -------------------------------------------
 
@@ -94,17 +95,17 @@ class BufferPool:
             self._eosl[tc_id] = eosl
 
     def note_lwm(self, tc_id: int, lwm: Lsn) -> None:
-        if lwm <= self._lwm.get(tc_id, NULL_LSN):
-            return
-        self._lwm[tc_id] = lwm
-        # snapshot the page list: concurrent operations on other tables
-        # may admit pages while we walk (pruning them is not required for
-        # correctness — the next LWM catches them)
-        for page in list(self._pages.values()):
-            page.apply_low_water(tc_id, lwm)
+        """Raise the TC's horizon; each cached page applies it lazily."""
+        horizon = self._horizons[tc_id]
+        if lwm > horizon.lwm:
+            horizon.lwm = lwm
 
     def eosl_for(self, tc_id: int) -> Lsn:
         return self._eosl.get(tc_id, NULL_LSN)
+
+    def lwm_for(self, tc_id: int) -> Lsn:
+        horizon = self._horizons.get(tc_id)
+        return horizon.lwm if horizon is not None else NULL_LSN
 
     # -- cache access ------------------------------------------------------------
 
@@ -130,7 +131,9 @@ class BufferPool:
 
     def discard(self, page_id: int) -> None:
         """Remove a page from the cache without flushing (reset/free)."""
-        self._pages.pop(page_id, None)
+        page = self._pages.pop(page_id, None)
+        if page is not None:
+            page.track_horizons(None)
 
     def cached_ids(self) -> list[int]:
         return list(self._pages)
@@ -176,6 +179,7 @@ class BufferPool:
                         self._op_cv.notify_all()
 
     def _admit(self, page: Page) -> None:
+        page.track_horizons(self._horizons)
         self._pages[page.page_id] = page
         self._pages.move_to_end(page.page_id)
         if self._active_ops == 0:
@@ -192,6 +196,7 @@ class BufferPool:
                 self.metrics.incr("buffer.eviction_blocked")
                 return
             del self._pages[victim_id]
+            victim.track_horizons(None)
             self.metrics.incr("buffer.evictions")
 
     def _pick_victim(self) -> Optional[int]:
@@ -306,7 +311,9 @@ class BufferPool:
         """Lose all volatile state (the DC failed)."""
         self._pages.clear()
         self._eosl.clear()
-        self._lwm.clear()
+        # Fresh horizons: pages of the lost cache keep the old ones, which
+        # no broadcast moves again.
+        self._horizons = defaultdict(LwmHorizon)
 
     def reset_after_tc_crash(
         self, tc_id: int, stable_lsn: Lsn, mode: ResetMode = ResetMode.RECORD_RESET
@@ -323,6 +330,8 @@ class BufferPool:
         if mode is ResetMode.FULL_DROP:
             stats["examined"] = len(self._pages)
             stats["dropped"] = len(self._pages)
+            for page in self._pages.values():
+                page.track_horizons(None)
             self._pages.clear()
             self.metrics.incr("buffer.reset_pages_dropped", stats["dropped"])
             return stats
@@ -345,6 +354,7 @@ class BufferPool:
                 self.metrics.incr("buffer.reset_pages_record_level")
             else:
                 del self._pages[page_id]
+                page.track_horizons(None)
                 stats["dropped"] += 1
                 self.metrics.incr("buffer.reset_pages_dropped")
         return stats

@@ -11,12 +11,14 @@ two properties recovery actually depends on:
 The store also keeps a small *stable metadata* area (table catalog, free
 list, allocation high-water) written atomically by DC checkpoints, plus the
 stable portion of the DC log.  Keeping them on one object models a single
-disk volume owned by one DC.
+disk volume owned by one DC.  The DC log is also indexed by page id, so
+rebuilding one page after a cache miss reads only that page's records.
 """
 
 from __future__ import annotations
 
 import threading
+from collections import defaultdict
 from typing import TYPE_CHECKING, Optional
 
 from repro.common.lsn import Lsn, NULL_LSN
@@ -35,6 +37,8 @@ class StableStorage:
         self._pages: dict[int, PageImage] = {}
         self._metadata: dict[str, object] = {}
         self._dc_log: list[object] = []
+        #: page id -> that page's DC-log records, in log order.
+        self._dc_log_by_page: defaultdict[int, list[object]] = defaultdict(list)
         self._next_page_id = 1
         self._lock = threading.Lock()
         self.metrics = metrics or Metrics()
@@ -138,21 +142,43 @@ class StableStorage:
 
             self.faults.hit(FaultPoint.DISK_LOG_FORCE, self.owner)
         with self._lock:
-            self._dc_log.extend(entries)
+            self._log_extend(entries)
             self.metrics.incr("disk.dclog_forces")
 
     def dc_log_entries(self) -> list[object]:
         with self._lock:
             return list(self._dc_log)
 
+    def dc_log_entries_for(self, page_id: int) -> list[object]:
+        """The DC-log records naming ``page_id``, in log order."""
+        with self._lock:
+            return list(self._dc_log_by_page.get(page_id, ()))
+
     def truncate_dc_log(self, keep_from_dlsn: Lsn) -> None:
         """Discard DC-log records below a checkpointed dLSN."""
         with self._lock:
-            self._dc_log = [
-                entry
-                for entry in self._dc_log
-                if getattr(entry, "dlsn", NULL_LSN) >= keep_from_dlsn
-            ]
+            self._log_truncate(keep_from_dlsn)
+
+    # Every DC-log mutation (here, in subclasses and in journal replay)
+    # goes through these two, so the per-page index cannot drift.  Callers
+    # hold self._lock.
+
+    def _log_extend(self, entries: list[object]) -> None:
+        self._dc_log.extend(entries)
+        for entry in entries:
+            page_id = getattr(entry, "page_id", None)
+            if page_id is not None:
+                self._dc_log_by_page[page_id].append(entry)
+
+    def _log_truncate(self, keep_from_dlsn: Lsn) -> None:
+        kept = [
+            entry
+            for entry in self._dc_log
+            if getattr(entry, "dlsn", NULL_LSN) >= keep_from_dlsn
+        ]
+        self._dc_log = []
+        self._dc_log_by_page.clear()
+        self._log_extend(kept)
 
     def dc_log_length(self) -> int:
         with self._lock:

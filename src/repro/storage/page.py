@@ -22,9 +22,10 @@ from __future__ import annotations
 import bisect
 import enum
 import threading
+from collections import defaultdict
 from typing import Callable, Iterable, Iterator, Optional
 
-from repro.common.lsn import AbstractLsn, Lsn, NULL_LSN
+from repro.common.lsn import AbstractLsn, Lsn, LwmHorizon, NULL_LSN
 from repro.common.records import Key, VersionedRecord, sizeof_key
 
 #: Fixed header bytes per page in the space model.
@@ -49,7 +50,10 @@ class Page:
         #: DC-log LSN of the last SMO applied to this page.
         self.dlsn: Lsn = NULL_LSN
         #: Per-TC abstract LSNs (Section 6.1.1).
-        self.ablsns: dict[int, AbstractLsn] = {}
+        self._ablsns: dict[int, AbstractLsn] = {}
+        #: The caching pool's per-TC low-water horizons; None when the
+        #: page is not cached.
+        self._horizons: Optional[defaultdict[int, LwmHorizon]] = None
         #: Classic single page LSN — used only by the monolithic baseline
         #: engine (the unbundled DC never stores one; that is the point).
         self.page_lsn: Lsn = NULL_LSN
@@ -59,12 +63,42 @@ class Page:
 
     # -- abLSN management -------------------------------------------------
 
+    @property
+    def ablsns(self) -> dict[int, AbstractLsn]:
+        """Per-TC abLSNs.  Install entries by assigning a whole mapping (or
+        via :meth:`ablsn_for`), so a cached page's abLSNs follow the pool's
+        low-water horizons."""
+        return self._ablsns
+
+    @ablsns.setter
+    def ablsns(self, ablsns: dict[int, AbstractLsn]) -> None:
+        self._ablsns = {}
+        for tc_id, ablsn in ablsns.items():
+            self._install(tc_id, ablsn)
+
+    def _install(self, tc_id: int, ablsn: AbstractLsn) -> AbstractLsn:
+        if self._horizons is not None:
+            ablsn.attach(self._horizons[tc_id])
+        self._ablsns[tc_id] = ablsn
+        return ablsn
+
+    def track_horizons(
+        self, horizons: Optional[defaultdict[int, LwmHorizon]]
+    ) -> None:
+        """Follow a pool's per-TC low-water horizons (the page was cached),
+        or stop following them (``None``: the page left the cache)."""
+        self._horizons = horizons
+        for tc_id, ablsn in self._ablsns.items():
+            if horizons is None:
+                ablsn.detach()
+            else:
+                ablsn.attach(horizons[tc_id])
+
     def ablsn_for(self, tc_id: int) -> AbstractLsn:
         """The abLSN tracking this TC's operations, created on demand."""
-        ablsn = self.ablsns.get(tc_id)
+        ablsn = self._ablsns.get(tc_id)
         if ablsn is None:
-            ablsn = AbstractLsn()
-            self.ablsns[tc_id] = ablsn
+            ablsn = self._install(tc_id, AbstractLsn())
         return ablsn
 
     def apply_low_water(self, tc_id: int, lwm: Lsn) -> None:
@@ -252,11 +286,12 @@ class LeafPage(Page):
                     self.put(record.clone())
                     changed += 1
             disk_ablsn = disk_image.ablsns.get(tc_id)
-            self.ablsns[tc_id] = (
-                disk_ablsn.snapshot() if disk_ablsn is not None else AbstractLsn()
+            self._install(
+                tc_id,
+                disk_ablsn.snapshot() if disk_ablsn is not None else AbstractLsn(),
             )
         else:
-            self.ablsns[tc_id] = AbstractLsn()
+            self._install(tc_id, AbstractLsn())
         self.dirty = True
         return changed
 

@@ -64,6 +64,9 @@ class _LoopHarness:
     def shutdown(self):
         self.loop.stop()
         self.thread.join(timeout=5)
+        # stop() wakes the blocked select; a loop that needs the join
+        # timeout to exit has lost its wakeup.
+        assert not self.thread.is_alive()
         self.loop.close()
         self.client.close()
 

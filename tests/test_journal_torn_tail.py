@@ -20,7 +20,15 @@ import zlib
 
 import pytest
 
+from hypothesis import HealthCheck, given, settings
+
 from repro.net.journal import _HEADER, JournalStorage
+from tests.test_disk import (
+    LOG_OPS,
+    apply_log_ops,
+    assert_page_index_matches,
+    dc_log_record,
+)
 
 
 def _make_journal(path, entries):
@@ -165,3 +173,53 @@ class TestTornTail:
         for i in range(10):
             assert storage.read_metadata(f"k{i}") == i
         storage.close()
+
+
+def _log_view(storage):
+    """The DC log by value (replay unpickles new record objects)."""
+    return [(type(r).__name__, r.dlsn, getattr(r, "page_id", None))
+            for r in storage.dc_log_entries()]
+
+
+class TestDcLogPageIndexReplay:
+    """The per-page DC-log index is rebuilt exactly by journal replay."""
+
+    @settings(
+        max_examples=25,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(ops=LOG_OPS)
+    def test_reopen_and_compact_rebuild_the_index(self, tmp_path, ops):
+        path = tmp_path / "index.bin"
+        path.unlink(missing_ok=True)
+        storage = JournalStorage(str(path))
+        apply_log_ops(storage, ops)
+        before = _log_view(storage)
+        storage.close()
+
+        reopened = JournalStorage(str(path))
+        assert _log_view(reopened) == before
+        assert_page_index_matches(reopened)
+        reopened.compact()
+        reopened.close()
+
+        compacted = JournalStorage(str(path))
+        assert _log_view(compacted) == before
+        assert_page_index_matches(compacted)
+        compacted.close()
+
+    def test_torn_log_frame_leaves_index_of_surviving_log(self, tmp_path):
+        path = tmp_path / "torn.bin"
+        storage = JournalStorage(str(path))
+        storage.append_dc_log([dc_log_record("image", 1, 1)])
+        storage.append_dc_log([dc_log_record("keys", 2, 1)])
+        storage.close()
+        data = path.read_bytes()
+        last_start = _frames(path)[-1][0]
+        path.write_bytes(data[: last_start + _HEADER.size + 3])
+
+        replayed = JournalStorage(str(path))
+        assert [r.dlsn for r in replayed.dc_log_entries_for(1)] == [1]
+        assert_page_index_matches(replayed)
+        replayed.close()
